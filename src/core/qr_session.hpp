@@ -3,9 +3,9 @@
 //
 // A session owns a persistent worker pool and a plan cache and amortizes
 // both across many factorizations — the "heavy traffic of repeated, often
-// small, QRs" regime where spawn-per-call scheduling overhead dominates
-// flops. Independent factorizations become DAG submissions on the shared
-// pool; a *batch* is fused into one submission (see below) so the scheduler
+// small, QRs" regime where per-call scheduling overhead dominates flops.
+// Independent factorizations become DAG submissions on the shared pool; a
+// *batch* is fused into one submission (see below) so the scheduler
 // overlaps the tail of one factorization with the heads of the next.
 //
 // Every entry path routes on shape: tall/square inputs factor by QR, wide
@@ -35,22 +35,40 @@
 //   stream.close();                                // into the live fused
 //                                                  // submission (see below)
 //
-// Batch fusion: factorize_batch concatenates the per-matrix DAGs into one
-// FusedPlan (cached per (shape, count) for homogeneous batches) and submits
-// it once — one deal of the initial ready set, one scheduling-key vector
-// (the concatenation of each plan's cached ranks, no rank sweep), one
-// completion walk. Per-matrix completion is detected by per-subgraph
-// sentinel counters: the last retiring task of each component fulfils that
-// matrix's promise, so early matrices resolve while the rest of the batch
-// is still running.
+// One request pipeline: every entry point (submit, submit_batch,
+// apply_q_async, both solve_least_squares_async overloads, FactorStream's
+// push/push_solve) builds Requests and hands them to one launcher. A Request
+// is a stage chain decided once, when it is built:
+//
+//   [factor DAG] → [host head: L⁻¹b, wide solves] → [apply DAG] → host finish
+//
+// (a zero-column rhs has no apply stage), plus one resolve-once completion
+// that owns the request's promise and, for streamed requests, its admission
+// slot and latency sample. The launcher puts a group of requests at the same
+// stage on the pool as ONE component, fused when the group holds more than
+// one request, and writes the per-request sentinels and the cleanup of a
+// cancelled component once. Its sink is a one-shot pool submission for the
+// session entry points (a request's next stage launches as soon as the
+// previous one drains) or the live pool stream of a FactorStream (the
+// stream's flush policy decides when its work grafts).
+//
+// Batch fusion: submit_batch hands the whole batch to the launcher as one
+// group. Homogeneous batches fuse through the PlanCache (one thin FusedPlan
+// per (shape, count): stride arithmetic over the base plan); mixed shapes
+// fuse ad hoc (make_fused_plan). The pool sees one deal of the initial ready
+// set, one scheduling-key vector, one completion walk. Per-request sentinel
+// counters detect component completion: the last retiring task of each part
+// fulfils that matrix's promise, so early matrices resolve while the rest of
+// the batch is still running.
 //
 // Streaming fusion: a fixed batch still drains to one matrix's critical-path
 // tail before the next batch starts. FactorStream removes the batch
 // boundary: pushes return futures immediately and accumulate while the
-// in-flight work drains; each flush grafts the accumulated requests — fused
-// through the same FusedPlan machinery — onto the *live* pool submission
-// (ThreadPool::Stream, generation-counted ready sets), so workers flow from
-// the old generation's tail straight into the new generation's heads.
+// in-flight work drains; each flush grafts the accumulated requests — one
+// fused group per plan — onto the *live* pool submission (ThreadPool::Stream,
+// generation-counted ready sets), so workers flow from the old generation's
+// tail straight into the new generation's heads. Ready solve apply stages
+// coalesce the same way (fuse_task_graphs), one component per flush point.
 //
 // Auto mode: wherever `Options::tree` is left disengaged, the batch,
 // pipeline, and stream paths route the shape through the session's tree
@@ -68,6 +86,8 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <deque>
 #include <future>
 #include <memory>
@@ -75,6 +95,7 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/stringf.hpp"
@@ -181,36 +202,9 @@ class FactorSession {
   /// "whole pool" — the invariant every session path shares.
   template <typename T>
   [[nodiscard]] std::future<TiledQr<T>> submit(TileMatrix<T> a, Options opt) {
-    struct Pending {
-      TiledQr<T> qr;
-      std::promise<TiledQr<T>> promise;
-    };
-    const int worker_cap = normalize_threads(opt);
-    auto state = std::make_shared<Pending>();
-    std::future<TiledQr<T>> future = state->promise.get_future();
-    try {
-      state->qr = TiledQr<T>::prepare(std::move(a), opt, cache_);
-    } catch (...) {
-      state->promise.set_exception(std::current_exception());
-      return future;
-    }
-    note_plan(state->qr.plan_);
-    const dag::TaskGraph& graph = state->qr.plan_->graph;
-    const int ib = state->qr.opt_.ib;
-    pool_.submit(
-        graph,
-        [raw = state.get(), ib](std::int32_t idx) {
-          TiledQr<T>& qr = raw->qr;
-          run_task_kernels(qr.plan_->graph.tasks[size_t(idx)], qr.a_, qr.t_, qr.t2_, ib);
-        },
-        [state](std::exception_ptr error) {
-          if (error)
-            state->promise.set_exception(error);
-          else
-            state->promise.set_value(std::move(state->qr));
-        },
-        runtime::SchedulePriority::CriticalPath, worker_cap, state, &state->qr.plan_->ranks);
-    return future;
+    const int cap = normalize_threads(opt);
+    return one_shot<TiledQr<T>, T>(
+        cap, [&](Request<T>& req) { req.factor_stage(prepare(std::move(a), opt)); });
   }
 
   /// Asynchronous batched factorization: fuses the batch into ONE pool
@@ -279,42 +273,17 @@ class FactorSession {
   [[nodiscard]] FactorStream<T> stream(StreamOptions opt = {});
 
   /// Applies op(Q) of a finished factorization to tiled C, asynchronously on
-  /// the session pool (no spawn path, no blocking). `qr` is borrowed and
-  /// must stay alive until the future resolves; C is consumed and handed
-  /// back through the future. Results are bitwise identical to
-  /// qr.apply_q(trans, c, ...) on the same input.
+  /// the session pool (no blocking). `qr` is borrowed and must stay alive
+  /// until the future resolves; C is consumed and handed back through the
+  /// future. Results are bitwise identical to qr.apply_q(trans, c, ...) on
+  /// the same input.
   template <typename T>
   [[nodiscard]] std::future<TileMatrix<T>> apply_q_async(const TiledQr<T>& qr, ApplyTrans trans,
                                                          TileMatrix<T> c) {
-    struct Apply {
-      dag::TaskGraph graph;
-      TileMatrix<T> c;
-      std::promise<TileMatrix<T>> promise;
-    };
-    auto state = std::make_shared<Apply>();
-    std::future<TileMatrix<T>> future = state->promise.get_future();
-    try {
-      TILEDQR_CHECK(c.mt() == qr.reduction_p() && c.nb() == qr.a_.nb(),
-                    "apply_q_async: row tiling of C must match the factorization");
-      state->c = std::move(c);
-      state->graph = qr.build_apply_graph(trans, state->c.nt());
-    } catch (...) {
-      state->promise.set_exception(std::current_exception());
-      return future;
-    }
-    pool_.submit(
-        state->graph,
-        [raw = state.get(), &qr, trans](std::int32_t id) {
-          qr.run_apply_task(raw->graph.tasks[size_t(id)], trans, raw->c);
-        },
-        [state](std::exception_ptr error) {
-          if (error)
-            state->promise.set_exception(error);
-          else
-            state->promise.set_value(std::move(state->c));
-        },
-        runtime::SchedulePriority::CriticalPath, 0, state);
-    return future;
+    return one_shot<TileMatrix<T>, T>(0, [&](Request<T>& req) {
+      req.borrowed = &qr;
+      req.apply_stage(std::move(c), trans);
+    });
   }
 
   /// The factorization is borrowed until the future resolves — a temporary
@@ -331,46 +300,10 @@ class FactorSession {
   template <typename T>
   [[nodiscard]] std::future<Matrix<T>> solve_least_squares_async(const TiledQr<T>& qr,
                                                                  ConstMatrixView<T> b) {
-    struct Solve {
-      dag::TaskGraph graph;
-      TileMatrix<T> c;
-      std::promise<Matrix<T>> promise;
-    };
-    auto state = std::make_shared<Solve>();
-    std::future<Matrix<T>> future = state->promise.get_future();
-    const bool lq = qr.kind() == kernels::FactorKind::LQ;
-    const ApplyTrans trans = lq ? ApplyTrans::NoTrans : ApplyTrans::ConjTrans;
-    try {
-      TILEDQR_CHECK(b.rows() == qr.a_.m(), "solve_least_squares_async: rhs row mismatch");
-      if (b.cols() == 0) {
-        state->promise.set_value(Matrix<T>(qr.a_.n(), 0));
-        return future;
-      }
-      state->c = lq ? qr.start_minimum_norm(b) : TileMatrix<T>::from_dense(b, qr.a_.nb());
-      state->graph = qr.build_apply_graph(trans, state->c.nt());
-    } catch (...) {
-      state->promise.set_exception(std::current_exception());
-      return future;
-    }
-    pool_.submit(
-        state->graph,
-        [raw = state.get(), &qr, trans](std::int32_t id) {
-          qr.run_apply_task(raw->graph.tasks[size_t(id)], trans, raw->c);
-        },
-        [state, &qr, lq](std::exception_ptr error) {
-          if (error) {
-            state->promise.set_exception(error);
-            return;
-          }
-          try {
-            state->promise.set_value(lq ? state->c.to_dense()
-                                        : qr.finish_least_squares(state->c));
-          } catch (...) {
-            state->promise.set_exception(std::current_exception());
-          }
-        },
-        runtime::SchedulePriority::CriticalPath, 0, state);
-    return future;
+    return one_shot<Matrix<T>, T>(0, [&](Request<T>& req) {
+      req.borrowed = &qr;
+      req.solve_stages(b);
+    });
   }
 
   template <typename T>
@@ -381,93 +314,21 @@ class FactorSession {
   /// (m < n): factorize A, triangular-solve L y = b, apply Q̃ to [y; 0] —
   /// the minimum-norm solution; the stage order reverses, so the trsm runs
   /// on the worker that retires the factorization and the apply DAG is the
-  /// final stage. Chained stages with no spawn-path fallback and no
-  /// intermediate blocking (each stage is submitted by the worker that
-  /// retires the previous one). `opt.threads > 0` caps the pool workers the
-  /// pipeline may occupy; a disengaged `opt.tree` is routed through the
-  /// autotuner for A's reduction-grid shape.
+  /// final stage. No intermediate blocking: each stage is launched by the
+  /// worker that retires the previous one. `opt.threads > 0` caps the pool
+  /// workers the pipeline may occupy; a disengaged `opt.tree` is routed
+  /// through the autotuner for A's reduction-grid shape.
   template <typename T>
   [[nodiscard]] std::future<Matrix<T>> solve_least_squares_async(ConstMatrixView<T> a,
                                                                  ConstMatrixView<T> b,
                                                                  Options opt) {
-    struct Pipeline {
-      TiledQr<T> qr;
-      TileMatrix<T> c;   ///< QR: b tiles -> Qᵀb; LQ: padded L⁻¹b -> Q̃[y;0]
-      Matrix<T> b;       ///< LQ only: dense rhs, tiled after the trsm head
-      dag::TaskGraph apply_graph;
-      std::promise<Matrix<T>> promise;
-    };
-    const int worker_cap = normalize_threads(opt);
-    auto state = std::make_shared<Pipeline>();
-    std::future<Matrix<T>> future = state->promise.get_future();
-    bool lq = false;
-    try {
-      TILEDQR_CHECK(b.rows() == a.rows(), "solve_least_squares_async: rhs row mismatch");
+    const int cap = normalize_threads(opt);
+    return one_shot<Matrix<T>, T>(cap, [&](Request<T>& req) {
       auto tiles = TileMatrix<T>::from_dense(a, opt.nb);
-      lq = tiles.m() < tiles.n();
-      if (!opt.tree) opt.tree = choose_tree_for(tiles, worker_cap);
-      state->qr = TiledQr<T>::prepare(std::move(tiles), opt, cache_);
-      if (b.cols() > 0) {
-        if (lq) {
-          state->b = Matrix<T>(b.rows(), b.cols());
-          copy(b, state->b.view());
-        } else {
-          state->c = TileMatrix<T>::from_dense(b, opt.nb);
-        }
-      }
-    } catch (...) {
-      state->promise.set_exception(std::current_exception());
-      return future;
-    }
-    note_plan(state->qr.plan_);
-    runtime::ThreadPool* pool = &pool_;
-    const ApplyTrans trans = lq ? ApplyTrans::NoTrans : ApplyTrans::ConjTrans;
-    pool_.submit(
-        state->qr.plan_->graph,
-        [raw = state.get(), ib = opt.ib](std::int32_t idx) {
-          TiledQr<T>& qr = raw->qr;
-          run_task_kernels(qr.plan_->graph.tasks[size_t(idx)], qr.a_, qr.t_, qr.t2_, ib);
-        },
-        [state, pool, worker_cap, lq, trans](std::exception_ptr error) {
-          if (error) {
-            state->promise.set_exception(error);
-            return;
-          }
-          try {
-            const bool empty_rhs = lq ? state->b.cols() == 0 : state->c.n() == 0;
-            if (empty_rhs) {  // zero-column rhs: answer is n x 0
-              state->promise.set_value(Matrix<T>(state->qr.a_.n(), 0));
-              return;
-            }
-            if (lq)
-              state->c =
-                  state->qr.start_minimum_norm(ConstMatrixView<T>(state->b.view()));
-            state->apply_graph = state->qr.build_apply_graph(trans, state->c.nt());
-          } catch (...) {
-            state->promise.set_exception(std::current_exception());
-            return;
-          }
-          pool->submit(
-              state->apply_graph,
-              [raw = state.get(), trans](std::int32_t id) {
-                raw->qr.run_apply_task(raw->apply_graph.tasks[size_t(id)], trans, raw->c);
-              },
-              [state, lq](std::exception_ptr apply_error) {
-                if (apply_error) {
-                  state->promise.set_exception(apply_error);
-                  return;
-                }
-                try {
-                  state->promise.set_value(lq ? state->c.to_dense()
-                                              : state->qr.finish_least_squares(state->c));
-                } catch (...) {
-                  state->promise.set_exception(std::current_exception());
-                }
-              },
-              runtime::SchedulePriority::CriticalPath, worker_cap, state);
-        },
-        runtime::SchedulePriority::CriticalPath, worker_cap, state, &state->qr.plan_->ranks);
-    return future;
+      if (!opt.tree) opt.tree = choose_tree_for(tiles, cap);
+      req.factor_stage(prepare(std::move(tiles), opt));
+      req.solve_stages(b);
+    });
   }
 
   // ------------------------------------------------------------- auto mode --
@@ -583,12 +444,79 @@ class FactorSession {
   template <typename U>
   friend class FactorStream;
 
-  /// Remembers the most recently prepared plan so health_report() can join
-  /// the live trace against a real DAG. A shared_ptr copy: plans are
-  /// immutable and cache-owned, so this pins at most one plan's memory.
-  void note_plan(const std::shared_ptr<const Plan>& plan) {
+  /// The DAG stages of a request's chain (the host steps run between them).
+  enum class Stage : std::uint8_t { Factor, Apply };
+
+  template <typename T>
+  struct Request;  // one request's stage chain and completion (below)
+  template <typename T>
+  using RequestPtr = std::shared_ptr<Request<T>>;
+  template <typename T>
+  struct StreamState;  // a FactorStream's shared state (below)
+
+  /// The one launcher: puts `reqs` — requests waiting for the same DAG stage,
+  /// all with the same sink — on the pool as one component (defined below).
+  template <typename T>
+  void launch(Stage stage, std::vector<RequestPtr<T>> reqs);
+
+  /// Builds one request for the one-shot sink and starts its chain; a build
+  /// failure resolves the future with the error instead.
+  template <typename R, typename T, typename Build>
+  [[nodiscard]] std::future<R> one_shot(int cap, Build&& build) {
+    auto req = std::make_shared<Request<T>>(this, cap);
+    std::future<R> future = req->template expect<R>();
+    try {
+      build(*req);
+    } catch (...) {
+      req->fail(std::current_exception());
+      return future;
+    }
+    if (req->factor)
+      launch<T>(Stage::Factor, {req});
+    else
+      req->advance(Stage::Factor, req);  // no factor stage: continue with what follows one
+    return future;
+  }
+
+  /// Shared loop of the submit_batch flavors: `make_tiles(i)` yields the i-th
+  /// input's TileMatrix (converting or moving). An input whose tiling or
+  /// planning throws gets a failed future; the rest launch as one group. A
+  /// disengaged tree resolves through the autotuner per input shape (at the
+  /// per-matrix worker cap — the concurrency each matrix actually gets).
+  template <typename T, typename MakeTiles>
+  [[nodiscard]] std::vector<std::future<TiledQr<T>>> submit_batch_impl(size_t count,
+                                                                       MakeTiles&& make_tiles,
+                                                                       Options opt) {
+    const int cap = normalize_threads(opt);
+    std::vector<std::future<TiledQr<T>>> futures;
+    std::vector<RequestPtr<T>> group;
+    for (size_t i = 0; i < count; ++i) {
+      auto req = std::make_shared<Request<T>>(this, cap);
+      futures.push_back(req->template expect<TiledQr<T>>());
+      try {
+        TileMatrix<T> tiles = make_tiles(i);
+        Options per = opt;
+        if (!per.tree) per.tree = choose_tree_for(tiles, cap);
+        req->factor_stage(prepare(std::move(tiles), per));
+        group.push_back(std::move(req));
+      } catch (...) {
+        req->fail(std::current_exception());
+      }
+    }
+    if (!group.empty()) launch<T>(Stage::Factor, std::move(group));
+    return futures;
+  }
+
+  /// Tile → plan through the session cache. Remembers the plan so
+  /// health_report() can join the live trace against a real DAG — a
+  /// shared_ptr copy: plans are immutable and cache-owned, so this pins at
+  /// most one plan's memory.
+  template <typename T>
+  [[nodiscard]] TiledQr<T> prepare(TileMatrix<T> tiles, const Options& opt) {
+    TiledQr<T> qr = TiledQr<T>::prepare(std::move(tiles), opt, cache_);
     std::lock_guard<std::mutex> lock(last_plan_mu_);
-    last_plan_ = plan;
+    last_plan_ = qr.plan_;
+    return qr;
   }
 
   /// The one cap rule: <= 0 (and anything above the pool) means "whole
@@ -611,151 +539,6 @@ class FactorSession {
   static void validate_auto_options(const AutoOptions& opt) {
     TILEDQR_CHECK(opt.nb >= 1, stringf("AutoOptions::nb must be >= 1 (got %d)", opt.nb));
     TILEDQR_CHECK(opt.ib >= 1, stringf("AutoOptions::ib must be >= 1 (got %d)", opt.ib));
-  }
-
-  /// One matrix of a fused batch: its prepared factorization, its promise,
-  /// and the per-subgraph sentinel counter that detects component completion
-  /// inside the fused submission.
-  template <typename T>
-  struct BatchPart {
-    explicit BatchPart(TiledQr<T> q) : qr(std::move(q)) {}
-    TiledQr<T> qr;
-    std::promise<TiledQr<T>> promise;
-    std::atomic<std::int32_t> remaining{0};
-  };
-
-  /// Shared state of one fused batch submission (held alive by the pool's
-  /// keepalive until the completion callback has run).
-  template <typename T>
-  struct BatchState {
-    std::deque<BatchPart<T>> parts;           // successfully prepared inputs
-    FusedPlan owned;                          // heterogeneous batches
-    std::shared_ptr<const FusedPlan> cached;  // homogeneous batches
-    const FusedPlan* fused = nullptr;
-    int ib = 0;
-  };
-
-  /// Shared prepare loop of the submit_batch flavors: `make_tiles(i)` yields
-  /// the i-th input's TileMatrix (converting or moving). An input whose
-  /// tiling/planning throws gets a pre-failed future; the rest proceed. A
-  /// disengaged tree resolves through the autotuner per input shape (at the
-  /// per-matrix worker cap — the concurrency each matrix actually gets).
-  template <typename T, typename MakeTiles>
-  [[nodiscard]] std::vector<std::future<TiledQr<T>>> submit_batch_impl(size_t count,
-                                                                       MakeTiles&& make_tiles,
-                                                                       Options opt) {
-    const int worker_cap = normalize_threads(opt);
-    std::vector<std::future<TiledQr<T>>> futures;
-    futures.reserve(count);
-    auto batch = std::make_shared<BatchState<T>>();
-    batch->ib = opt.ib;
-    for (size_t i = 0; i < count; ++i) {
-      try {
-        TileMatrix<T> tiles = make_tiles(i);
-        Options per = opt;
-        if (!per.tree) per.tree = choose_tree_for(tiles, worker_cap);
-        batch->parts.emplace_back(TiledQr<T>::prepare(std::move(tiles), per, cache_));
-        note_plan(batch->parts.back().qr.plan_);
-        futures.push_back(batch->parts.back().promise.get_future());
-      } catch (...) {
-        std::promise<TiledQr<T>> failed;
-        futures.push_back(failed.get_future());
-        failed.set_exception(std::current_exception());
-      }
-    }
-    launch_batch(std::move(batch), worker_cap);
-    return futures;
-  }
-
-  /// Fuses the prepared parts into one pool submission. The per-part
-  /// promises are fulfilled by per-subgraph sentinel counters as each
-  /// component drains; the single completion callback only mops up after a
-  /// cancelled (failed) submission.
-  template <typename T>
-  void launch_batch(std::shared_ptr<BatchState<T>> batch, int worker_cap) {
-    if (batch->parts.empty()) return;
-
-    if (batch->parts.size() == 1) {
-      // Nothing to fuse: submit the lone component directly (and skip
-      // caching a redundant single-part fusion).
-      BatchPart<T>& part = batch->parts.front();
-      pool_.submit(
-          part.qr.plan_->graph,
-          [raw = batch.get()](std::int32_t idx) {
-            TiledQr<T>& qr = raw->parts.front().qr;
-            run_task_kernels(qr.plan_->graph.tasks[size_t(idx)], qr.a_, qr.t_, qr.t2_, raw->ib);
-          },
-          [batch](std::exception_ptr error) {
-            BatchPart<T>& p = batch->parts.front();
-            if (error)
-              p.promise.set_exception(error);
-            else
-              p.promise.set_value(std::move(p.qr));
-          },
-          runtime::SchedulePriority::CriticalPath, worker_cap, batch, &part.qr.plan_->ranks);
-      return;
-    }
-
-    // One fused graph for the whole batch. Homogeneous batches (the common
-    // serving shape) reuse a cached fusion; mixed shapes fuse ad hoc.
-    const Plan* front_plan = batch->parts.front().qr.plan_.get();
-    bool homogeneous = true;
-    for (const auto& part : batch->parts)
-      if (part.qr.plan_.get() != front_plan) {
-        homogeneous = false;
-        break;
-      }
-    if (homogeneous) {
-      // Every part shares the front plan, so the front part's (normalized)
-      // tree is the fused-cache key for all of them.
-      batch->cached = cache_.get_fused(front_plan->graph.p, front_plan->graph.q,
-                                       *batch->parts.front().qr.options().tree,
-                                       int(batch->parts.size()), front_plan->graph.factor);
-      batch->fused = batch->cached.get();
-    } else {
-      std::vector<std::shared_ptr<const Plan>> plans;
-      plans.reserve(batch->parts.size());
-      for (const auto& part : batch->parts) plans.push_back(part.qr.plan_);
-      batch->owned = make_fused_plan(plans);
-      batch->fused = &batch->owned;
-    }
-    for (size_t i = 0; i < batch->parts.size(); ++i)
-      batch->parts[i].remaining.store(batch->fused->part_size(int(i)),
-                                      std::memory_order_relaxed);
-
-    // A per-submission cap applies to the whole fused graph, so scale the
-    // caller's per-matrix cap by the batch size to preserve the aggregate
-    // concurrency per-matrix submissions had (0 stays "whole pool"; the cap
-    // arrives pre-clamped, so the product cannot overflow).
-    if (worker_cap > 0)
-      worker_cap = int(std::min<long>(long(pool_.size()),
-                                      long(worker_cap) * long(batch->parts.size())));
-
-    pool_.submit(
-        batch->fused->component_graph(),
-        [raw = batch.get()](std::int32_t idx) {
-          const FusedPlan& fused = *raw->fused;
-          BatchPart<T>& part = raw->parts[size_t(fused.part_of(idx))];
-          TiledQr<T>& qr = part.qr;
-          run_task_kernels(fused.task(idx), qr.a_, qr.t_, qr.t2_, raw->ib);
-          // Per-subgraph sentinel: the last retiring task of this component
-          // fulfils its matrix's promise (acq_rel pairs with the other
-          // workers' decrements, so their tile writes are visible before the
-          // TiledQr is moved out).
-          if (part.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
-            part.promise.set_value(std::move(part.qr));
-        },
-        [batch](std::exception_ptr error) {
-          // Only reachable with unfinished parts when a task threw (the pool
-          // then cancels the rest of the submission).
-          for (auto& part : batch->parts)
-            if (part.remaining.load(std::memory_order_acquire) != 0)
-              part.promise.set_exception(
-                  error ? error
-                        : std::make_exception_ptr(Error("factorize_batch: cancelled")));
-        },
-        runtime::SchedulePriority::CriticalPath, worker_cap, batch,
-        &batch->fused->component_ranks(), batch->fused->copies());
   }
 
   /// Drains a submit_batch future set, preserving order. A single failure is
@@ -811,6 +594,377 @@ class FactorSession {
 /// Historical name from when the session was QR-only; existing call sites
 /// keep compiling unchanged.
 using QrSession = FactorSession;
+
+// ---------------------------------------------------------------- Request --
+
+/// One request's stage chain: [factor DAG] → [host head] → [apply DAG] →
+/// host finish. The builders (factor_stage, solve_stages, apply_stage)
+/// decide which stages exist, the QR/LQ order and the zero-column-rhs
+/// shortcut once; the launcher and the sinks only ever ask what comes next.
+/// The request owns its promise: resolve() and fail() are the only places it
+/// is satisfied, exactly once (a second resolution is a pipeline bug and
+/// aborts), and they release the stream admission slot the request holds,
+/// if any.
+template <typename T>
+struct FactorSession::Request {
+  Request(FactorSession* s, int worker_cap) : session(s), cap(worker_cap) {}
+
+  FactorSession* session;
+  int cap;  ///< one-shot sink: pre-clamped worker cap (0 = whole pool)
+  /// Stream sink, set once the stream admitted the request; null = one-shot.
+  std::shared_ptr<StreamState<T>> stream;
+  std::int64_t admit_ns = 0;  ///< admission time (obs::now_ns) of a streamed request
+
+  TiledQr<T> qr;                         ///< factorized by the factor stage
+  const TiledQr<T>* borrowed = nullptr;  ///< finished factorization to apply instead
+  bool factor = false;  ///< a factor DAG runs first
+  bool apply = false;   ///< an apply DAG runs (after the factor DAG, if any)
+  bool head = false;    ///< wide solve: the L⁻¹b trsm head precedes the apply DAG
+  /// Transposed-world op of the apply stage: Qᵀ (ConjTrans) for least
+  /// squares, Q̃ (NoTrans) for the minimum-norm solve, or the caller's op.
+  ApplyTrans trans = ApplyTrans::ConjTrans;
+  TileMatrix<T> c;  ///< apply operand: tiled rhs, padded L⁻¹b, or the caller's C
+  /// Wide solves only: the dense rhs. The apply operand cannot be tiled up
+  /// front — it is the padded L⁻¹b, which exists only after the trsm head.
+  Matrix<T> b;
+  dag::TaskGraph apply_graph;
+  std::variant<std::promise<TiledQr<T>>, std::promise<TileMatrix<T>>, std::promise<Matrix<T>>>
+      result;
+  std::atomic<bool> resolved{false};
+
+  [[nodiscard]] const TiledQr<T>& source() const { return borrowed ? *borrowed : qr; }
+
+  /// Selects the result type R (TiledQr, TileMatrix or Matrix) and returns
+  /// its future.
+  template <typename R>
+  [[nodiscard]] std::future<R> expect() {
+    return result.template emplace<std::promise<R>>().get_future();
+  }
+
+  void factor_stage(TiledQr<T> prepared) {
+    qr = std::move(prepared);
+    factor = true;
+  }
+
+  /// Solve stages against source(): QR applies Qᵀ to the tiled rhs and
+  /// finishes with the R trsm; LQ runs the L⁻¹b head first and the apply-Q̃
+  /// DAG last. A zero-column rhs has no apply stage (the answer is n x 0).
+  void solve_stages(ConstMatrixView<T> rhs) {
+    const TiledQr<T>& f = source();
+    TILEDQR_CHECK(rhs.rows() == f.a_.m(), "solve: rhs row mismatch");
+    head = f.kind() == kernels::FactorKind::LQ;
+    trans = head ? ApplyTrans::NoTrans : ApplyTrans::ConjTrans;
+    apply = rhs.cols() > 0;
+    if (!apply) return;
+    if (head) {
+      b = Matrix<T>(rhs.rows(), rhs.cols());
+      copy(rhs, b.view());
+    } else {
+      c = TileMatrix<T>::from_dense(rhs, f.a_.nb());
+    }
+  }
+
+  /// A bare op(Q) application to caller-tiled C.
+  void apply_stage(TileMatrix<T> tiles, ApplyTrans op) {
+    TILEDQR_CHECK(tiles.mt() == source().reduction_p() && tiles.nb() == source().a_.nb(),
+                  "apply_q_async: row tiling of C must match the factorization");
+    c = std::move(tiles);
+    trans = op;
+    apply = true;
+  }
+
+  [[nodiscard]] const dag::TaskGraph& graph(Stage stage) const {
+    return stage == Stage::Factor ? qr.plan_->graph : apply_graph;
+  }
+
+  void run(Stage stage, const dag::Task& task) {
+    if (stage == Stage::Factor)
+      run_task_kernels(task, qr.a_, qr.t_, qr.t2_, qr.opt_.ib);
+    else
+      source().run_apply_task(task, trans, c);
+  }
+
+  /// DAG stage `drained` finished. After a factor stage with an apply stage
+  /// to follow, run the host head (wide solves), build the apply DAG and
+  /// hand it to the sink — the one-shot pool at once, or the stream's ready
+  /// queue that its next flush point grafts. Otherwise run the host finish
+  /// and resolve.
+  void advance(Stage drained, const RequestPtr<T>& self) noexcept {
+    try {
+      if (drained == Stage::Factor && apply) {
+        if (head) c = source().start_minimum_norm(ConstMatrixView<T>(b.view()));
+        apply_graph = source().build_apply_graph(trans, c.nt());
+        if (stream)
+          stream->stage_ready(self);
+        else
+          session->launch<T>(Stage::Apply, {self});
+        return;
+      }
+      switch (result.index()) {
+        case 0:
+          resolve(std::move(qr));
+          break;
+        case 1:
+          resolve(std::move(c));
+          break;
+        default:
+          resolve(!apply ? Matrix<T>(source().a_.n(), 0)
+                  : head ? c.to_dense()
+                         : source().finish_least_squares(c));
+      }
+    } catch (...) {
+      fail(std::current_exception());
+    }
+  }
+
+  template <typename R>
+  void resolve(R value) {
+    claim();
+    std::get<std::promise<R>>(result).set_value(std::move(value));
+    release();
+  }
+
+  void fail(std::exception_ptr error) noexcept {
+    claim();
+    std::visit([&](auto& promise) { promise.set_exception(error); }, result);
+    release();
+  }
+
+  /// No path resolves a request twice; if one ever does, stop loudly here
+  /// rather than let the second outcome vanish.
+  void claim() noexcept {
+    if (resolved.exchange(true, std::memory_order_acq_rel)) {
+      std::fputs("tiledqr: FactorSession request resolved twice (bug)\n", stderr);
+      std::abort();
+    }
+  }
+
+  void release() noexcept {
+    if (stream) stream->released(admit_ns);
+  }
+};
+
+// ------------------------------------------------------------ StreamState --
+
+/// Shared state of a FactorStream: worker completion callbacks outlive the
+/// handle's stack frames, so everything they touch lives here.
+template <typename T>
+struct FactorSession::StreamState {
+  FactorSession* session = nullptr;
+  runtime::ThreadPool::Stream pool_stream;
+  StreamOptions opts;
+  int worker_cap = 0;  ///< pre-clamped; the tuner keys on this concurrency
+
+  mutable std::mutex mu;
+  /// The retirement condvar: notified whenever a request resolves, a
+  /// grafted component retires, or the cork/closed flags flip. Waiters:
+  /// drain() (unresolved == 0), Block-overflow pushers (a slot freed),
+  /// and the flush_deadline thread (a backlog to watch appeared).
+  std::condition_variable retire_cv;
+  bool corked = false;
+  bool closed = false;
+  std::deque<RequestPtr<T>> pending;
+  /// Solve requests whose factorization finished and whose apply graph is
+  /// built: instead of each grafting its own component, they accumulate
+  /// here and every flush point grafts them as ONE fused component, so a
+  /// burst of streamed solves pays one graft for all its apply stages.
+  std::vector<RequestPtr<T>> ready_applies;
+  long inflight = 0;  ///< grafted components not yet retired
+  long pushed = 0;
+  long unresolved = 0;  ///< admitted requests whose future hasn't resolved
+  long peak_unresolved = 0;
+  long rejected = 0;
+  long deadline_flushes = 0;
+  long empty_flushes = 0;
+  /// When the pending backlog last went empty -> non-empty; the deadline
+  /// thread grafts at oldest_pending + flush_deadline.
+  std::chrono::steady_clock::time_point oldest_pending{};
+  /// Engaged only when flush_deadline > 0; joined by close().
+  std::thread deadline_thread;
+  std::atomic<long> fused_requests{0};  ///< bumped outside mu (launch)
+  /// End-to-end request latency (admission -> future resolution), exported
+  /// through the registry source below. Atomic; recorded outside mu.
+  obs::Histogram latency;
+  /// Registry source "stream.<label>" / "stream<N>". Declared last so it
+  /// deregisters (freezing the stream's final samples as retired metrics)
+  /// before any field its callback reads is destroyed.
+  obs::MetricsRegistry::SourceHandle metrics_source;
+
+  /// Work claimed under `mu` and launched after it is released: the pending
+  /// backlog as one group per plan (a mixed-shape stream still fuses
+  /// everything of each shape), and the ready apply stages as one group.
+  /// Each group is accounted in flight when claimed.
+  struct Claim {
+    std::vector<std::vector<RequestPtr<T>>> groups;
+    std::vector<RequestPtr<T>> applies;
+  };
+
+  /// Linear scan: pending is bounded by max_pending and distinct plans are few.
+  void claim_pending_locked(Claim& claim) {
+    for (auto& req : pending) {
+      auto home = std::find_if(claim.groups.begin(), claim.groups.end(), [&](const auto& g) {
+        return g.front()->qr.plan_ == req->qr.plan_;
+      });
+      if (home == claim.groups.end()) home = claim.groups.emplace(claim.groups.end());
+      home->push_back(std::move(req));
+    }
+    pending.clear();
+    inflight += long(claim.groups.size());
+  }
+
+  void claim_applies_locked(Claim& claim) {
+    if (ready_applies.empty()) return;
+    claim.applies.swap(ready_applies);
+    ++inflight;
+  }
+
+  /// Grafts claimed work onto the live submission, outside `mu` (planning a
+  /// new (shape, count) fusion must not block pushes).
+  void launch(Claim claim) {
+    if (!claim.applies.empty()) session->launch<T>(Stage::Apply, std::move(claim.applies));
+    for (auto& group : claim.groups) {
+      if (group.size() > 1)
+        fused_requests.fetch_add(long(group.size()), std::memory_order_relaxed);
+      session->launch<T>(Stage::Factor, std::move(group));
+    }
+  }
+
+  /// Request hook: a solve's apply stage is ready. Progress is guaranteed
+  /// without a flush here — the factor component this request rode in on
+  /// has not retired yet, and its retirement claims the queue.
+  void stage_ready(RequestPtr<T> req) {
+    std::lock_guard<std::mutex> lock(mu);
+    ready_applies.push_back(std::move(req));
+  }
+
+  /// Request hook: a future resolved (value or error) — record its
+  /// end-to-end latency, release its admission slot, and wake drain()ers /
+  /// Block-ed pushers.
+  void released(std::int64_t admit_ns) noexcept {
+    latency.record_ns(obs::now_ns() - admit_ns);
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      --unresolved;
+    }
+    retire_cv.notify_all();
+  }
+
+  /// Launcher hook: a grafted component retired (or failed to graft). If
+  /// the in-flight window fell to the watermark with work pending (arrivals
+  /// outpaced this drain), graft the backlog now — the hand-off that keeps
+  /// workers flowing across what used to be batch boundaries.
+  void retired() {
+    Claim claim;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      --inflight;
+      // Ready apply stages flush unconditionally — they are latency-critical
+      // solve tails whose requests already hold slots, so neither the cork
+      // nor the watermark applies to them.
+      claim_applies_locked(claim);
+      if (!corked && inflight <= long(opts.low_watermark)) claim_pending_locked(claim);
+    }
+    retire_cv.notify_all();
+    launch(std::move(claim));
+  }
+};
+
+// --------------------------------------------------------------- launcher --
+
+template <typename T>
+void FactorSession::launch(Stage stage, std::vector<RequestPtr<T>> reqs) {
+  /// One component on the pool, kept alive by it until its completion ran.
+  struct Group {
+    Stage stage;
+    std::vector<RequestPtr<T>> reqs;
+    std::shared_ptr<const FusedPlan> cached;  // homogeneous factor groups
+    FusedPlan owned;                          // mixed shapes, apply stages
+    const FusedPlan* fused = nullptr;         // engaged iff reqs.size() > 1
+    /// Per-request sentinels: tasks left in each part of a fused component;
+    /// a lone request's slot stays nonzero until its completion advances it.
+    std::unique_ptr<std::atomic<std::int32_t>[]> remaining;
+  };
+  auto group = std::make_shared<Group>();
+  group->stage = stage;
+  group->reqs = std::move(reqs);
+  const Request<T>& lead = *group->reqs.front();
+  const size_t n = group->reqs.size();
+  try {
+    if (n > 1 && stage == Stage::Apply) {
+      std::vector<const dag::TaskGraph*> graphs;
+      for (const auto& req : group->reqs) graphs.push_back(&req->apply_graph);
+      group->owned = fuse_task_graphs(graphs);
+      group->fused = &group->owned;
+    } else if (n > 1) {
+      const Plan& plan = *lead.qr.plan_;
+      if (std::all_of(group->reqs.begin(), group->reqs.end(),
+                      [&](const auto& req) { return req->qr.plan_.get() == &plan; })) {
+        // Every part shares the lead's plan, so the lead's (normalized) tree
+        // is the fused-cache key for all of them.
+        group->cached = cache_.get_fused(plan.graph.p, plan.graph.q, *lead.qr.options().tree,
+                                         int(n), plan.graph.factor);
+        group->fused = group->cached.get();
+      } else {
+        std::vector<std::shared_ptr<const Plan>> plans;
+        for (const auto& req : group->reqs) plans.push_back(req->qr.plan_);
+        group->owned = make_fused_plan(plans);
+        group->fused = &group->owned;
+      }
+    }
+    const FusedPlan* fused = group->fused;
+    group->remaining = std::make_unique<std::atomic<std::int32_t>[]>(n);
+    for (size_t i = 0; i < n; ++i)
+      group->remaining[i].store(fused ? fused->part_size(int(i)) : 1, std::memory_order_relaxed);
+
+    auto body = [raw = group.get()](std::int32_t idx) {
+      const FusedPlan* fused = raw->fused;
+      const size_t part = fused ? size_t(fused->part_of(idx)) : 0;
+      Request<T>& req = *raw->reqs[part];
+      req.run(raw->stage, fused ? fused->task(idx) : req.graph(raw->stage).tasks[size_t(idx)]);
+      // The last retiring task of a fused part advances its request early
+      // (acq_rel pairs with the other workers' decrements, so their tile
+      // writes are visible to whatever runs next).
+      if (fused && raw->remaining[part].fetch_sub(1, std::memory_order_acq_rel) == 1)
+        req.advance(raw->stage, raw->reqs[part]);
+    };
+    auto done = [group](std::exception_ptr error) {
+      // Nonzero sentinels: a lone request (advanced here, once its
+      // component drained) or the unfinished parts of a cancelled one.
+      for (size_t i = 0; i < group->reqs.size(); ++i) {
+        if (group->remaining[i].load(std::memory_order_acquire) == 0) continue;
+        if (error)
+          group->reqs[i]->fail(error);
+        else
+          group->reqs[i]->advance(group->stage, group->reqs[i]);
+      }
+      if (auto& stream = group->reqs.front()->stream) stream->retired();
+    };
+    const dag::TaskGraph& graph = fused ? fused->component_graph() : lead.graph(stage);
+    const std::vector<long>* keys = fused                   ? &fused->component_ranks()
+                                    : stage == Stage::Factor ? &lead.qr.plan_->ranks
+                                                             : nullptr;
+    const int copies = fused ? fused->copies() : 1;
+    if (lead.stream) {
+      lead.stream->pool_stream.append(graph, std::move(body), std::move(done), group, keys,
+                                      copies);
+    } else {
+      // A one-shot component of n requests gets n x the per-request cap —
+      // the aggregate concurrency separate submissions had (0 stays "whole
+      // pool"; the cap arrives pre-clamped, so the product cannot overflow).
+      const int cap =
+          lead.cap > 0 ? int(std::min<long>(pool_.size(), long(lead.cap) * long(n))) : 0;
+      pool_.submit(graph, std::move(body), std::move(done),
+                   runtime::SchedulePriority::CriticalPath, cap, group, keys, copies);
+    }
+  } catch (...) {
+    // The fusion failed to build or the sink refused the component (a
+    // stream close race): fail its requests and retire the stream's
+    // in-flight slot, so nothing pended behind it is stranded.
+    const std::exception_ptr error = std::current_exception();
+    for (auto& req : group->reqs) req->fail(error);
+    if (auto& stream = lead.stream) stream->retired();
+  }
+}
 
 // ------------------------------------------------------------ FactorStream --
 
@@ -908,77 +1062,31 @@ class FactorStream {
   /// or rejected push allocates nothing.
   [[nodiscard]] std::future<TiledQr<T>> push(ConstMatrixView<T> a) {
     TILEDQR_CHECK(valid(), "FactorStream::push: moved-from or empty stream handle");
-    auto req = std::make_shared<Request>();
-    std::future<TiledQr<T>> future = req->promise.get_future();
-    if (std::exception_ptr rejected = admit()) {
-      req->promise.set_exception(std::move(rejected));
-      return future;
-    }
-    req->admit_ns = obs::now_ns();
-    try {
-      req->qr = prepare(TileMatrix<T>::from_dense(a, state_->opts.nb));
-    } catch (...) {
-      fail_request(state_, *req, std::current_exception());
-      return future;
-    }
-    enqueue(std::move(req));
-    return future;
+    return submit<TiledQr<T>>([&](Request& req) {
+      req.factor_stage(prepare(TileMatrix<T>::from_dense(a, state_->opts.nb)));
+    });
   }
 
   /// Pre-tiled flavor (consumed); the input keeps its own tile size.
   [[nodiscard]] std::future<TiledQr<T>> push(TileMatrix<T> a) {
     TILEDQR_CHECK(valid(), "FactorStream::push: moved-from or empty stream handle");
-    auto req = std::make_shared<Request>();
-    std::future<TiledQr<T>> future = req->promise.get_future();
-    if (std::exception_ptr rejected = admit()) {
-      req->promise.set_exception(std::move(rejected));
-      return future;
-    }
-    req->admit_ns = obs::now_ns();
-    try {
-      req->qr = prepare(std::move(a));
-    } catch (...) {
-      fail_request(state_, *req, std::current_exception());
-      return future;
-    }
-    enqueue(std::move(req));
-    return future;
+    return submit<TiledQr<T>>([&](Request& req) { req.factor_stage(prepare(std::move(a))); });
   }
 
   /// Full solve pipeline for one request: factorize A, then chain the solve
   /// stages into the same stream — Qᵀb apply + trsm for tall A, trsm head +
   /// apply-Q̃ (minimum norm) for wide A. Apply stages of concurrent solves
   /// coalesce: each flush grafts every ready apply graph as one fused
-  /// component (ROADMAP's "batched solve"). Results are bitwise identical to
+  /// component. Results are bitwise identical to
   /// FactorSession::solve_least_squares_async(a, b, opt) with the same tree.
   /// Backpressure treats a solve as one request from admission until its
   /// solution future resolves (the chained stages keep the slot).
   [[nodiscard]] std::future<Matrix<T>> push_solve(ConstMatrixView<T> a, ConstMatrixView<T> b) {
     TILEDQR_CHECK(valid(), "FactorStream::push_solve: moved-from or empty stream handle");
-    auto req = std::make_shared<Request>();
-    req->solve = true;
-    std::future<Matrix<T>> future = req->solve_promise.get_future();
-    if (std::exception_ptr rejected = admit()) {
-      req->solve_promise.set_exception(std::move(rejected));
-      return future;
-    }
-    req->admit_ns = obs::now_ns();
-    try {
-      TILEDQR_CHECK(b.rows() == a.rows(), "push_solve: rhs row mismatch");
-      req->qr = prepare(TileMatrix<T>::from_dense(a, state_->opts.nb));
-      if (req->qr.kind() == kernels::FactorKind::LQ) {
-        req->apply_trans = ApplyTrans::NoTrans;
-        req->b = Matrix<T>(b.rows(), b.cols());
-        copy(b, req->b.view());
-      } else if (b.cols() > 0) {
-        req->c = TileMatrix<T>::from_dense(b, state_->opts.nb);
-      }
-    } catch (...) {
-      fail_request(state_, *req, std::current_exception());
-      return future;
-    }
-    enqueue(std::move(req));
-    return future;
+    return submit<Matrix<T>>([&](Request& req) {
+      req.factor_stage(prepare(TileMatrix<T>::from_dense(a, state_->opts.nb)));
+      req.solve_stages(b);
+    });
   }
 
   /// Defers flushing: corked pushes accumulate (up to max_pending) so a
@@ -1009,16 +1117,14 @@ class FactorStream {
   /// caller's own uncorking — onto the live submission immediately.
   void flush() {
     TILEDQR_CHECK(valid(), "FactorStream::flush: moved-from or empty stream handle");
-    std::vector<Group> groups;
-    std::deque<std::shared_ptr<Request>> applies;
+    typename State::Claim claim;
     {
       std::lock_guard<std::mutex> lock(state_->mu);
-      groups = take_groups_locked(*state_);
-      if (groups.empty()) ++state_->empty_flushes;
-      applies = take_applies_locked(*state_);
+      state_->claim_pending_locked(claim);
+      if (claim.groups.empty()) ++state_->empty_flushes;
+      state_->claim_applies_locked(claim);
     }
-    graft_applies(state_, std::move(applies));
-    graft(state_, std::move(groups));
+    state_->launch(std::move(claim));
   }
 
   /// Grafts the uncorked backlog, then blocks until every request admitted
@@ -1029,20 +1135,18 @@ class FactorStream {
   /// condvar until the corker uncorks (no flush/wait spinning).
   void drain() {
     TILEDQR_CHECK(valid(), "FactorStream::drain: moved-from or empty stream handle");
-    std::vector<Group> groups;
-    std::deque<std::shared_ptr<Request>> applies;
+    typename State::Claim claim;
     {
       std::lock_guard<std::mutex> lock(state_->mu);
       if (!state_->corked) {
-        groups = take_groups_locked(*state_);
+        state_->claim_pending_locked(claim);
         // Count only claims actually attempted: a corked skip is deference,
         // not an empty flush.
-        if (groups.empty()) ++state_->empty_flushes;
+        if (claim.groups.empty()) ++state_->empty_flushes;
       }
-      applies = take_applies_locked(*state_);
+      state_->claim_applies_locked(claim);
     }
-    graft_applies(state_, std::move(applies));
-    graft(state_, std::move(groups));
+    state_->launch(std::move(claim));
     std::unique_lock<std::mutex> lock(state_->mu);
     state_->retire_cv.wait(lock, [&] { return state_->unresolved == 0; });
   }
@@ -1063,7 +1167,7 @@ class FactorStream {
     state_->retire_cv.notify_all();
     if (deadline_reaper.joinable()) deadline_reaper.join();
     drain();
-    if (!state_->stream.closed()) state_->stream.close();
+    if (!state_->pool_stream.closed()) state_->pool_stream.close();
   }
 
   [[nodiscard]] Stats stats() const {
@@ -1071,7 +1175,7 @@ class FactorStream {
     std::lock_guard<std::mutex> lock(state_->mu);
     Stats s;
     s.pushed = state_->pushed;
-    s.components = state_->stream.generation();
+    s.components = state_->pool_stream.generation();
     s.fused_requests = state_->fused_requests.load(std::memory_order_relaxed);
     s.pending = long(state_->pending.size());
     s.unresolved = state_->unresolved;
@@ -1085,7 +1189,7 @@ class FactorStream {
   /// Ready-set generation of the underlying pool stream (components grafted).
   [[nodiscard]] long generation() const {
     TILEDQR_CHECK(valid(), "FactorStream::generation: moved-from or empty stream handle");
-    return state_->stream.generation();
+    return state_->pool_stream.generation();
   }
 
   /// The session-level live snapshot (FactorSession::health_report) from the
@@ -1100,89 +1204,11 @@ class FactorStream {
 
  private:
   friend class FactorSession;
+  using Request = FactorSession::Request<T>;
+  using State = FactorSession::StreamState<T>;
 
-  /// One pushed request: its prepared factorization, sentinel counter within
-  /// its graft, and (for solves) the rhs tiles + chained apply graph.
-  struct Request {
-    TiledQr<T> qr;
-    std::promise<TiledQr<T>> promise;
-    std::atomic<std::int32_t> remaining{0};
-    /// Sentinel counter for the fused *apply* graft — deliberately separate
-    /// from `remaining`: a peer's flush can claim and graft this request's
-    /// apply stage between the factor part's last task body and the factor
-    /// component's completion callback, so reusing one counter would let
-    /// that callback mistake a live apply count for an unfinished factor
-    /// part and fail an already-chained solve.
-    std::atomic<std::int32_t> apply_remaining{0};
-    bool solve = false;
-    TileMatrix<T> c;
-    /// Wide (LQ) solves only: the dense rhs. The apply operand `c` cannot be
-    /// tiled at push time — it is the padded L⁻¹b in the transposed-world
-    /// tiling, which exists only after the factorization's trsm head.
-    Matrix<T> b;
-    /// Transposed-world op for the chained apply stage: Qᵀ (ConjTrans) for
-    /// least squares, Q̃ (NoTrans) for the minimum-norm solve.
-    ApplyTrans apply_trans = ApplyTrans::ConjTrans;
-    dag::TaskGraph apply_graph;
-    std::promise<Matrix<T>> solve_promise;
-    /// Admission timestamp (obs::now_ns), stamped once a push holds its
-    /// backpressure slot; request_resolved turns it into the stream's
-    /// end-to-end latency sample. 0 = never admitted (no sample).
-    std::int64_t admit_ns = 0;
-  };
-
-  /// One graft: requests sharing a plan, fused when there is more than one.
-  struct Group {
-    std::vector<std::shared_ptr<Request>> reqs;
-    std::shared_ptr<const FusedPlan> fused;  // engaged iff reqs.size() > 1
-  };
-
-  /// Shared stream state: worker completion callbacks outlive the handle's
-  /// stack frames, so everything they touch lives here.
-  struct State {
-    FactorSession* session = nullptr;
-    runtime::ThreadPool::Stream stream;
-    FactorSession::StreamOptions opts;
-    int worker_cap = 0;  ///< pre-clamped; the tuner keys on this concurrency
-
-    mutable std::mutex mu;
-    /// The retirement condvar: notified whenever a request resolves, a
-    /// grafted component retires, or the cork/closed flags flip. Waiters:
-    /// drain() (unresolved == 0), Block-overflow pushers (a slot freed),
-    /// and the flush_deadline thread (a backlog to watch appeared).
-    std::condition_variable retire_cv;
-    bool corked = false;
-    bool closed = false;
-    std::deque<std::shared_ptr<Request>> pending;
-    /// Solve requests whose factorization finished and whose apply graph is
-    /// built: instead of each grafting its own component, they accumulate
-    /// here and every flush point grafts them as ONE fused component
-    /// (fuse_task_graphs), so a burst of streamed solves pays one graft for
-    /// all its apply stages.
-    std::deque<std::shared_ptr<Request>> ready_applies;
-    long inflight = 0;  ///< grafted components not yet retired
-    long pushed = 0;
-    long unresolved = 0;  ///< admitted requests whose future hasn't resolved
-    long peak_unresolved = 0;
-    long rejected = 0;
-    long deadline_flushes = 0;
-    long empty_flushes = 0;
-    /// When the pending backlog last went empty -> non-empty; the deadline
-    /// thread grafts at oldest_pending + flush_deadline.
-    std::chrono::steady_clock::time_point oldest_pending{};
-    /// Engaged only when flush_deadline > 0; joined by close().
-    std::thread deadline_thread;
-    std::atomic<long> fused_requests{0};  ///< bumped outside mu (graft)
-    /// End-to-end request latency (admission -> future resolution), exported
-    /// through the registry source below. Atomic; recorded outside mu.
-    obs::Histogram latency;
-    /// Registry source "stream.<label>" / "stream<N>". Declared last so it
-    /// deregisters (freezing the stream's final samples as retired metrics)
-    /// before any field its callback reads is destroyed.
-    obs::MetricsRegistry::SourceHandle metrics_source;
-  };
-
-  FactorStream(FactorSession* session, FactorSession::StreamOptions opts) : state_(std::make_shared<State>()) {
+  FactorStream(FactorSession* session, FactorSession::StreamOptions opts)
+      : state_(std::make_shared<State>()) {
     TILEDQR_CHECK(opts.nb >= 1, stringf("StreamOptions::nb must be >= 1 (got %d)", opts.nb));
     TILEDQR_CHECK(opts.ib >= 1, stringf("StreamOptions::ib must be >= 1 (got %d)", opts.ib));
     TILEDQR_CHECK(opts.max_pending >= 1, "StreamOptions::max_pending must be >= 1");
@@ -1197,7 +1223,7 @@ class FactorStream {
     state_->session = session;
     state_->worker_cap = session->clamp_cap(opts.threads);
     state_->opts = std::move(opts);
-    state_->stream =
+    state_->pool_stream =
         session->pool_.open_stream(state_->worker_cap, state_->opts.affinity_hint);
     auto& registry = obs::MetricsRegistry::global();
     // Raw State pointer, not the shared_ptr: the handle lives inside State,
@@ -1209,7 +1235,7 @@ class FactorStream {
         [s = state_.get()](std::vector<obs::Sample>& out) {
           std::lock_guard<std::mutex> lock(s->mu);
           out.push_back({"pushed", double(s->pushed)});
-          out.push_back({"components", double(s->stream.generation())});
+          out.push_back({"components", double(s->pool_stream.generation())});
           out.push_back({"fused_requests",
                          double(s->fused_requests.load(std::memory_order_relaxed))});
           out.push_back({"pending", double(s->pending.size())});
@@ -1242,12 +1268,37 @@ class FactorStream {
         state->retire_cv.wait_until(lock, due);
         continue;  // re-evaluate: the backlog may have been claimed meanwhile
       }
-      auto groups = take_groups_locked(*state);
+      typename State::Claim claim;
+      state->claim_pending_locked(claim);
       ++state->deadline_flushes;
       lock.unlock();
-      graft(state, std::move(groups));
+      state->launch(std::move(claim));
       lock.lock();
     }
+  }
+
+  /// The stream side of every push: admission (backpressure), then the
+  /// request build, then the pending backlog. A build failure resolves the
+  /// future with the error (releasing the slot); a rejected push resolves it
+  /// without ever holding one.
+  template <typename R, typename Build>
+  [[nodiscard]] std::future<R> submit(Build&& build) {
+    auto req = std::make_shared<Request>(state_->session, 0);
+    std::future<R> future = req->template expect<R>();
+    if (std::exception_ptr rejected = admit()) {
+      req->fail(std::move(rejected));
+      return future;
+    }
+    req->stream = state_;
+    req->admit_ns = obs::now_ns();
+    try {
+      build(*req);
+    } catch (...) {
+      req->fail(std::current_exception());
+      return future;
+    }
+    enqueue(std::move(req));
+    return future;
   }
 
   /// Backpressure gate: every accepted request holds one `unresolved` slot
@@ -1277,18 +1328,6 @@ class FactorStream {
     return nullptr;
   }
 
-  /// A request's user-facing future resolved (value or error): record its
-  /// end-to-end latency, release its backpressure slot, and wake drain()ers
-  /// / Block-ed pushers.
-  static void request_resolved(const std::shared_ptr<State>& state, const Request& req) {
-    if (req.admit_ns > 0) state->latency.record_ns(obs::now_ns() - req.admit_ns);
-    {
-      std::lock_guard<std::mutex> lock(state->mu);
-      --state->unresolved;
-    }
-    state->retire_cv.notify_all();
-  }
-
   /// Tile → plan, resolving a disengaged tree through the autotuner for this
   /// input's shape at the stream's worker cap.
   [[nodiscard]] TiledQr<T> prepare(TileMatrix<T> tiles) {
@@ -1299,20 +1338,19 @@ class FactorStream {
     opt.tree = state_->opts.tree
                    ? *state_->opts.tree
                    : state_->session->choose_tree_for(tiles, state_->worker_cap);
-    TiledQr<T> qr = TiledQr<T>::prepare(std::move(tiles), opt, state_->session->cache_);
-    state_->session->note_plan(qr.plan_);
-    return qr;
+    return state_->session->prepare(std::move(tiles), opt);
   }
 
   void enqueue(std::shared_ptr<Request> req) {
-    std::vector<Group> groups;
+    typename State::Claim claim;
     {
-      std::lock_guard<std::mutex> lock(state_->mu);
+      std::unique_lock<std::mutex> lock(state_->mu);
       if (state_->closed) {
-        // Push-vs-close race: the close won. Give the admission slot back
-        // before reporting the caller bug, so the closing drain terminates.
-        --state_->unresolved;
-        state_->retire_cv.notify_all();
+        // Push-vs-close race: the close won. Resolve the request — giving its
+        // admission slot back, so the closing drain terminates — before
+        // reporting the caller bug.
+        lock.unlock();
+        req->fail(std::make_exception_ptr(Error("FactorStream: push on a closed stream")));
         throw Error("FactorStream: push on a closed stream");
       }
       if (state_->pending.empty())
@@ -1325,301 +1363,13 @@ class FactorStream {
       // its memory with the latter.
       const bool full = long(state_->pending.size()) >= long(state_->opts.max_pending);
       if (full || (!state_->corked && state_->inflight <= long(state_->opts.low_watermark)))
-        groups = take_groups_locked(*state_);
+        state_->claim_pending_locked(claim);
     }
     // Only a request that actually stayed pending re-arms the deadline
     // thread's watch; a push that grafted immediately left nothing to age.
-    if (groups.empty() && state_->opts.flush_deadline.count() > 0)
+    if (claim.groups.empty() && state_->opts.flush_deadline.count() > 0)
       state_->retire_cv.notify_all();
-    graft(state_, std::move(groups));
-  }
-
-  /// Groups the pending requests by plan — one graft per distinct plan, so
-  /// a mixed-shape stream still fuses everything of each shape — and
-  /// accounts them in flight. Caller holds s.mu; the actual appends happen
-  /// outside the lock in graft(). Linear scan: pending is bounded by
-  /// max_pending and distinct plans are few.
-  /// Claims the ready-apply queue for one fused graft, accounting it in
-  /// flight (a single component regardless of how many solves it carries).
-  /// Caller holds s.mu.
-  [[nodiscard]] static std::deque<std::shared_ptr<Request>> take_applies_locked(State& s) {
-    std::deque<std::shared_ptr<Request>> applies;
-    if (!s.ready_applies.empty()) {
-      applies.swap(s.ready_applies);
-      ++s.inflight;
-    }
-    return applies;
-  }
-
-  [[nodiscard]] static std::vector<Group> take_groups_locked(State& s) {
-    std::vector<Group> groups;
-    if (s.pending.empty()) return groups;
-    for (auto& req : s.pending) {
-      Group* home = nullptr;
-      for (auto& g : groups)
-        if (g.reqs.front()->qr.plan_.get() == req->qr.plan_.get()) {
-          home = &g;
-          break;
-        }
-      if (!home) home = &groups.emplace_back();
-      home->reqs.push_back(std::move(req));
-    }
-    s.pending.clear();
-    s.inflight += long(groups.size());
-    return groups;
-  }
-
-  /// Appends one component per group onto the live submission. Fused plans
-  /// are resolved here, outside the stream mutex (planning a new (shape,
-  /// count) fusion must not block pushes); a group whose fusion fails to
-  /// build — or whose append is refused (close race) — fails only its own
-  /// requests, and retires its inflight slot so nothing pended behind it is
-  /// stranded and close()'s drain still terminates.
-  static void graft(const std::shared_ptr<State>& state, std::vector<Group> groups) {
-    for (auto& g : groups) {
-      if (g.reqs.size() > 1) {
-        try {
-          const Plan& plan = *g.reqs.front()->qr.plan_;
-          g.fused = state->session->cache_.get_fused(plan.graph.p, plan.graph.q,
-                                                     *g.reqs.front()->qr.options().tree,
-                                                     int(g.reqs.size()), plan.graph.factor);
-          state->fused_requests.fetch_add(long(g.reqs.size()), std::memory_order_relaxed);
-        } catch (...) {
-          for (auto& req : g.reqs) fail_request(state, *req, std::current_exception());
-          // Account the failed graft like a retired one — including the
-          // backlog check, so a request pended behind this group is not
-          // stranded when the stream went otherwise idle.
-          on_component_retired(state);
-          continue;
-        }
-      }
-      if (g.reqs.size() == 1) {
-        auto req = g.reqs.front();
-        try {
-          state->stream.append(
-              req->qr.plan_->graph,
-              [raw = req.get()](std::int32_t idx) {
-                TiledQr<T>& qr = raw->qr;
-                run_task_kernels(qr.plan_->graph.tasks[size_t(idx)], qr.a_, qr.t_, qr.t2_,
-                                 qr.opt_.ib);
-              },
-              [state, req](std::exception_ptr error) {
-                if (error)
-                  fail_request(state, *req, error);
-                else
-                  finish_request(state, req);
-                on_component_retired(state);
-              },
-              req, &req->qr.plan_->ranks);
-        } catch (...) {
-          fail_request(state, *req, std::current_exception());
-          on_component_retired(state);
-        }
-        continue;
-      }
-      auto group = std::make_shared<Group>(std::move(g));
-      for (size_t i = 0; i < group->reqs.size(); ++i)
-        group->reqs[i]->remaining.store(group->fused->part_size(int(i)),
-                                        std::memory_order_relaxed);
-      try {
-        state->stream.append(
-            group->fused->component_graph(),
-            [state, raw = group.get()](std::int32_t idx) {
-              const FusedPlan& fused = *raw->fused;
-              const size_t part = size_t(fused.part_of(idx));
-              Request& req = *raw->reqs[part];
-              TiledQr<T>& qr = req.qr;
-              run_task_kernels(fused.task(idx), qr.a_, qr.t_, qr.t2_, qr.opt_.ib);
-              // Per-request sentinel, exactly the batch-fusion machinery: the
-              // last retiring task of this part resolves its request early.
-              if (req.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
-                finish_request(state, raw->reqs[part]);
-            },
-            [state, group](std::exception_ptr error) {
-              // Unfinished parts only exist when a task threw (the component
-              // was cancelled); resolved parts already kept their values.
-              for (auto& req : group->reqs)
-                if (req->remaining.load(std::memory_order_acquire) != 0)
-                  fail_request(state, *req,
-                               error ? error
-                                     : std::make_exception_ptr(
-                                           Error("FactorStream: component cancelled")));
-              on_component_retired(state);
-            },
-            group, &group->fused->component_ranks(), group->fused->copies());
-      } catch (...) {
-        auto error = std::current_exception();
-        for (auto& req : group->reqs) fail_request(state, *req, error);
-        on_component_retired(state);
-      }
-    }
-  }
-
-  /// A request's factorization finished (sentinel or single-component
-  /// completion). Plain pushes resolve; solves build their apply stage (for
-  /// wide inputs the L⁻¹b trsm head runs here, on the worker that got here)
-  /// and queue it on ready_applies — the next flush point grafts every
-  /// queued apply as one fused component. Progress is guaranteed without a
-  /// flush here: the factor component this request rode in on has not
-  /// retired yet, and its retirement callback flushes the queue.
-  static void finish_request(const std::shared_ptr<State>& state,
-                             const std::shared_ptr<Request>& req) {
-    if (!req->solve) {
-      req->promise.set_value(std::move(req->qr));
-      request_resolved(state, *req);
-      return;
-    }
-    try {
-      const bool lq = req->qr.kind() == kernels::FactorKind::LQ;
-      if (lq ? req->b.cols() == 0 : req->c.n() == 0) {  // zero-column rhs
-        req->solve_promise.set_value(Matrix<T>(req->qr.a_.n(), 0));
-        request_resolved(state, *req);
-        return;
-      }
-      if (lq) req->c = req->qr.start_minimum_norm(ConstMatrixView<T>(req->b.view()));
-      req->apply_graph = req->qr.build_apply_graph(req->apply_trans, req->c.nt());
-    } catch (...) {
-      req->solve_promise.set_exception(std::current_exception());
-      request_resolved(state, *req);
-      return;
-    }
-    std::lock_guard<std::mutex> lock(state->mu);
-    state->ready_applies.push_back(req);
-  }
-
-  /// The apply stage of one solve finished: the trsm tail (QR) or the dense
-  /// gather (LQ — the trsm already ran before the apply) resolves the
-  /// solution future.
-  static void finish_apply(const std::shared_ptr<State>& state,
-                           const std::shared_ptr<Request>& req) {
-    try {
-      req->solve_promise.set_value(req->apply_trans == ApplyTrans::NoTrans
-                                       ? req->c.to_dense()
-                                       : req->qr.finish_least_squares(req->c));
-    } catch (...) {
-      req->solve_promise.set_exception(std::current_exception());
-    }
-    request_resolved(state, *req);
-  }
-
-  /// Grafts the claimed ready_applies as ONE component: a single apply graph
-  /// when one solve is ready, otherwise the rank-carrying disjoint union
-  /// (fuse_task_graphs) of every queued apply graph, with per-request
-  /// sentinels resolving each solution as its part drains. The caller
-  /// already accounted the graft in `inflight`. Safe even though the factor
-  /// components may not have retired yet: the pool stream admits appends
-  /// from task bodies and completion callbacks.
-  static void graft_applies(const std::shared_ptr<State>& state,
-                            std::deque<std::shared_ptr<Request>> applies) {
-    if (applies.empty()) return;
-    if (applies.size() == 1) {
-      auto req = applies.front();
-      try {
-        state->stream.append(
-            req->apply_graph,
-            [raw = req.get()](std::int32_t id) {
-              raw->qr.run_apply_task(raw->apply_graph.tasks[size_t(id)], raw->apply_trans,
-                                     raw->c);
-            },
-            [state, req](std::exception_ptr error) {
-              if (error)
-                fail_request(state, *req, error);
-              else
-                finish_apply(state, req);
-              on_component_retired(state);
-            },
-            req);
-      } catch (...) {
-        // Close race: the pool stream refused the stage. Fail the solve and
-        // retire the phantom graft, or the inflight/unresolved accounting
-        // leaks and the request's future never resolves.
-        fail_request(state, *req, std::current_exception());
-        on_component_retired(state);
-      }
-      return;
-    }
-    struct ApplyGroup {
-      std::vector<std::shared_ptr<Request>> reqs;
-      FusedPlan fused;
-    };
-    auto group = std::make_shared<ApplyGroup>();
-    group->reqs.assign(std::make_move_iterator(applies.begin()),
-                       std::make_move_iterator(applies.end()));
-    try {
-      std::vector<const dag::TaskGraph*> graphs;
-      graphs.reserve(group->reqs.size());
-      for (const auto& req : group->reqs) graphs.push_back(&req->apply_graph);
-      group->fused = fuse_task_graphs(graphs);
-    } catch (...) {
-      auto error = std::current_exception();
-      for (auto& req : group->reqs) fail_request(state, *req, error);
-      on_component_retired(state);
-      return;
-    }
-    for (size_t i = 0; i < group->reqs.size(); ++i)
-      group->reqs[i]->apply_remaining.store(group->fused.part_size(int(i)),
-                                            std::memory_order_relaxed);
-    try {
-      state->stream.append(
-          group->fused.component_graph(),
-          [state, raw = group.get()](std::int32_t idx) {
-            const FusedPlan& fused = raw->fused;
-            const size_t part = size_t(fused.part_of(idx));
-            Request& req = *raw->reqs[part];
-            req.qr.run_apply_task(fused.task(idx), req.apply_trans, req.c);
-            // Per-request sentinel, same machinery as the factor grafts: the
-            // last retiring apply task of this part resolves its solution.
-            if (req.apply_remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
-              finish_apply(state, raw->reqs[part]);
-          },
-          [state, group](std::exception_ptr error) {
-            for (auto& req : group->reqs)
-              if (req->apply_remaining.load(std::memory_order_acquire) != 0)
-                fail_request(state, *req,
-                             error ? error
-                                   : std::make_exception_ptr(
-                                         Error("FactorStream: component cancelled")));
-            on_component_retired(state);
-          },
-          group, &group->fused.component_ranks());
-    } catch (...) {
-      auto error = std::current_exception();
-      for (auto& req : group->reqs) fail_request(state, *req, error);
-      on_component_retired(state);
-    }
-  }
-
-  /// Fails a request's user-facing future and releases its admission slot.
-  static void fail_request(const std::shared_ptr<State>& state, Request& req,
-                           std::exception_ptr error) {
-    if (req.solve)
-      req.solve_promise.set_exception(std::move(error));
-    else
-      req.promise.set_exception(std::move(error));
-    request_resolved(state, req);
-  }
-
-  /// A grafted component retired: if the in-flight window fell to the
-  /// watermark with work pending (arrivals outpaced this drain), graft the
-  /// backlog now — this is the hand-off that keeps workers flowing across
-  /// what used to be batch boundaries.
-  static void on_component_retired(const std::shared_ptr<State>& state) {
-    std::vector<Group> groups;
-    std::deque<std::shared_ptr<Request>> applies;
-    {
-      std::lock_guard<std::mutex> lock(state->mu);
-      --state->inflight;
-      // Ready apply stages flush unconditionally — they are latency-critical
-      // solve tails whose requests already hold slots, so neither the cork
-      // nor the watermark applies to them.
-      applies = take_applies_locked(*state);
-      if (!state->corked && state->inflight <= long(state->opts.low_watermark) &&
-          !state->pending.empty())
-        groups = take_groups_locked(*state);
-    }
-    state->retire_cv.notify_all();
-    graft_applies(state, std::move(applies));
-    graft(state, std::move(groups));
+    state_->launch(std::move(claim));
   }
 
   std::shared_ptr<State> state_;

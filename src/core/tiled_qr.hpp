@@ -451,8 +451,6 @@ class TiledQr {
 
  private:
   friend class FactorSession;
-  template <typename U>
-  friend class FactorStream;
 
   /// Only prepare() and FactorSession build TiledQr objects: a default-
   /// constructed one would have a null plan_, so the constructor is not

@@ -35,8 +35,9 @@ void larfg(T& alpha, T* x, std::int64_t n, T& tau) {
     return;
   }
 
-  auto lapy = [](R a, R b, R c) { return std::sqrt(a * a + b * b + c * c); };
-  R beta = -std::copysign(lapy(alphr, alphi, xnorm), alphr);
+  // std::hypot, not sqrt(a² + b² + c²): the squares overflow once the
+  // column norm passes ~1e154.
+  R beta = -std::copysign(std::hypot(alphr, alphi, xnorm), alphr);
 
   const R safmin = std::numeric_limits<R>::min() / std::numeric_limits<R>::epsilon();
   const R rsafmn = R(1) / safmin;
@@ -48,8 +49,9 @@ void larfg(T& alpha, T* x, std::int64_t n, T& tau) {
     beta *= rsafmn;
     alpha_w *= T(rsafmn);
     xnorm = blas::nrm2(n, x);
-    beta = -std::copysign(lapy(ScalarTraits<T>::real(alpha_w), ScalarTraits<T>::imag(alpha_w), xnorm),
-                          ScalarTraits<T>::real(alpha_w));
+    beta = -std::copysign(
+        std::hypot(ScalarTraits<T>::real(alpha_w), ScalarTraits<T>::imag(alpha_w), xnorm),
+        ScalarTraits<T>::real(alpha_w));
   }
 
   if constexpr (is_complex_v<T>) {

@@ -142,7 +142,7 @@ struct ThreadPool::Submission {
   /// anchor through the pool-level round shared across streams.
   bool stream = false;
   /// Trace id: which submission an event belongs to (unique across pools and
-  /// the spawn-path executor).
+  /// the sequential executor).
   std::uint32_t id = 0;
   /// The pool's streams-closed counter (engaged for streams only).
   /// Incremented once — by the first close(), or from ~Submission when the
@@ -161,6 +161,9 @@ struct ThreadPool::Submission {
   std::atomic<bool> closed{false};
   std::atomic<long> generation{0};  ///< components appended (ready-set generation)
   std::atomic<long> retired_components{0};
+  /// Retired components whose completion callback has returned; wait()
+  /// blocks on this, so a waiter sees every callback's effects.
+  std::atomic<long> completed_components{0};
   std::atomic<long> inflight{0};  ///< appended minus retired
   std::atomic<bool> done{false};  ///< closed && everything retired
   int first_worker = 0;
@@ -671,7 +674,7 @@ void ThreadPool::finalize_if_drained(Submission& sub) {
 
 void ThreadPool::wait_stream(const std::shared_ptr<Submission>& sub, long up_to_generation) {
   auto drained = [&] {
-    return sub->retired_components.load(std::memory_order_acquire) >= up_to_generation;
+    return sub->completed_components.load(std::memory_order_acquire) >= up_to_generation;
   };
   if (tl_pool == this) {
     // Waiting from a pool worker (e.g. a task body draining a stream it
@@ -985,6 +988,7 @@ void ThreadPool::run_item(int wid, Item item, bool stolen) {
     // the submission drained between chained pipeline stages.
     comp.owner->retired_components.fetch_add(1, std::memory_order_acq_rel);
     if (comp.on_complete) comp.on_complete(error);
+    comp.owner->completed_components.fetch_add(1, std::memory_order_acq_rel);
     // Release everything the component captured: stream closures hold the
     // FactorStream state, which holds this submission — clearing here breaks
     // that cycle (and frees graphs/requests promptly). No task of this

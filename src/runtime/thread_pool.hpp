@@ -1,9 +1,9 @@
 // Persistent worker pool for the serving regime.
 //
-// The spawn-per-call executor (runtime::execute_spawn) pays a thread
-// create/join round trip on every factorization — invisible for one big QR,
-// dominant for the "many repeated small factorizations" workload the ROADMAP
-// targets. ThreadPool keeps the workers alive across factorizations:
+// Spawning threads per call pays a create/join round trip on every
+// factorization — invisible for one big QR, dominant for the "many repeated
+// small factorizations" workload the ROADMAP targets. ThreadPool keeps the
+// workers alive across factorizations:
 //
 //   * each worker owns a fixed set of *lanes* — one Chase–Lev lock-free
 //     deque per live submission it holds work for. The owner pushes and
@@ -19,8 +19,8 @@
 //     components under component-affine dealing (below);
 //   * several DAGs can be in flight at once (the batched serving API
 //     interleaves them); each submission can be capped to a subset of
-//     workers so `execute(g, body, threads)` keeps its exact-concurrency
-//     semantics for the scaling ablations.
+//     workers, so `execute(g, body, threads)` runs at exactly `threads`
+//     workers up to the pool size (the scaling ablations).
 //
 // Locality (component-affine stealing, TILEDQR_AFFINE_STEAL, default on):
 // a *stream* component is dealt whole to one home worker — rotating across
@@ -197,8 +197,8 @@ class ThreadPool {
     /// No further appends; idempotent. Does not block — pair with wait().
     void close();
 
-    /// Blocks until every component appended before this call has retired.
-    /// Callable with the stream still open (drain-and-continue) or after
+    /// Blocks until every component appended before this call has retired
+    /// and its completion callback has returned. Callable with the stream still open (drain-and-continue) or after
     /// close(). Safe from a pool worker: the caller helps execute.
     void wait();
 

@@ -2,8 +2,11 @@
 // reference QR used as an oracle elsewhere.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <complex>
+#include <limits>
 
+#include "core/tiled_qr.hpp"
 #include "kernels/householder.hpp"
 #include "kernels/reference_qr.hpp"
 #include "matrix/generate.hpp"
@@ -146,6 +149,48 @@ TEST(Householder, ComplexAlphaZeroTailStillReflects) {
   EXPECT_NEAR(alpha.imag(), 0.0, 1e-14);
   EXPECT_NEAR(std::abs(alpha.real()), std::sqrt(5.0), 1e-12);
 }
+
+// Range safety: factoring s*A across the floating-point range must stay
+// finite and scale-equivariant, R(sA)/s = R(A) (L for wide inputs), as it
+// does in LAPACK. An unscaled sqrt(a^2 + b^2 + c^2) in larfg overflowed to
+// inf at s = 1e160 and s = 1e300. Checked for QR (256x128) and LQ (128x256)
+// at nb = 64, within c*n*eps of the unscaled triangle.
+class ScaledFactorization : public ::testing::TestWithParam<double> {};
+
+TEST_P(ScaledFactorization, TriangleIsFiniteAndScalesExactly) {
+  const double s = GetParam();
+  core::Options opt;
+  opt.nb = 64;
+  opt.ib = 32;
+  opt.threads = 1;
+  for (const auto& [m, n] : {std::pair<int, int>{256, 128}, std::pair<int, int>{128, 256}}) {
+    SCOPED_TRACE("scale " + std::to_string(s) + ", " + std::to_string(m) + "x" + std::to_string(n));
+    const auto a = random_matrix<double>(m, n, 0x5CA1E);
+    Matrix<double> sa(m, n);
+    for (std::int64_t j = 0; j < n; ++j)
+      for (std::int64_t i = 0; i < m; ++i) sa(i, j) = s * a(i, j);
+    const auto ref = core::TiledQr<double>::factorize(ConstMatrixView<double>(a.view()), opt);
+    const auto got = core::TiledQr<double>::factorize(ConstMatrixView<double>(sa.view()), opt);
+
+    const Matrix<double> factors = got.factors().to_dense();
+    long non_finite = 0;
+    for (std::int64_t j = 0; j < factors.cols(); ++j)
+      for (std::int64_t i = 0; i < factors.rows(); ++i) non_finite += !std::isfinite(factors(i, j));
+    EXPECT_EQ(non_finite, 0);
+
+    const bool wide = m < n;
+    const Matrix<double> tri_ref = wide ? ref.l_factor() : ref.r_factor();
+    Matrix<double> tri = wide ? got.l_factor() : got.r_factor();
+    for (std::int64_t j = 0; j < tri.cols(); ++j)
+      for (std::int64_t i = 0; i < tri.rows(); ++i) tri(i, j) /= s;
+    const double eps = std::numeric_limits<double>::epsilon();
+    EXPECT_LE(difference_norm<double>(tri.view(), tri_ref.view()),
+              10.0 * std::max(m, n) * eps * frobenius_norm<double>(tri_ref.view()));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RangeSafety, ScaledFactorization,
+                         ::testing::Values(1e-300, 1e160, 1e300));
 
 }  // namespace
 }  // namespace tiledqr
